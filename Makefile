@@ -11,19 +11,16 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The concurrency-bearing packages under the race detector: the event
-# engine (the sharded synchronizer's epoch park/wake and stride spin
-# barriers — TestEpochBarrierStress hammers them with 1ns windows and
-# concurrent Stop — its SPSC rings, and flex-event coalescing), the
-# packet-level network simulator (probe and fault-injection hooks,
-# cross-shard forwarding, the per-pair lookahead matrix), the routers
-# (Reroute mutates live tables; shard clones serve concurrent
-# lookups), the traffic harnesses (per-shard delivery fan-in), the
-# metrics registry (lock-free instruments scraped while written), the
-# job service (worker pool vs HTTP handlers), and the cluster tier
-# (dispatchers vs heartbeat monitors vs dynamic registration —
-# TestClusterRaceStress keeps the requeue path hot with a permanently
-# dead worker).
+# The race detector over the simulator core and the concurrency-bearing
+# packages: the event engine and packet-level network simulator (each
+# single-threaded per run, but run concurrently by cell-parallel
+# experiments and the job service's workers, so no state may leak
+# between runs), the routers (Reroute mutates live tables), the traffic
+# harnesses, the metrics registry (lock-free instruments scraped while
+# written — the engine heartbeat publishes into it), the job service
+# (worker pool vs HTTP handlers), and the cluster tier (dispatchers vs
+# heartbeat monitors vs dynamic registration — TestClusterRaceStress
+# keeps the requeue path hot with a permanently dead worker).
 race:
 	$(GO) test -race ./internal/sim/... ./internal/netsim/... ./internal/routing/... ./internal/traffic/... ./internal/metrics/... ./internal/service/... ./internal/cluster/...
 
@@ -67,11 +64,11 @@ scenario-smoke:
 cluster-smoke:
 	bash scripts/cluster_smoke.sh
 
-# End-to-end check of execution tracing: sharded quartzsim and
-# quartzbench traces validate under cmd/tracecheck (schema, per-track
-# timestamp order), the -json report carries barrier_profile, and a
-# quartzd job round-trips its X-Quartz-Trace header through
-# GET /jobs/{id}/trace. CI runs this as the trace-smoke step.
+# End-to-end check of execution tracing: quartzsim flow-span traces
+# (unbounded and flight-recorder) and a cell-spanned quartzbench table8
+# trace validate under cmd/tracecheck (schema, per-track timestamp
+# order), and a quartzd job round-trips its X-Quartz-Trace header
+# through GET /jobs/{id}/trace. CI runs this as the trace-smoke step.
 trace-smoke:
 	bash scripts/trace_smoke.sh
 

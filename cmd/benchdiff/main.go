@@ -71,9 +71,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
 	}
-	// Differing host parallelism skews every wall-clock column (a 1-CPU
-	// box inverts the sharded speedup table) but does not make the code
-	// under test slower — warn, never gate. Reports that predate the
+	// Differing host parallelism skews every wall-clock column (cell
+	// parallelism scales with cores) but does not make the code under
+	// test slower — warn, never gate. Reports that predate the
 	// num_cpu field carry 0 and are not comparable either way.
 	if oldRep.NumCPU != newRep.NumCPU {
 		fmt.Fprintf(os.Stderr,

@@ -11,8 +11,6 @@ import (
 	"io"
 	"runtime"
 	"time"
-
-	"github.com/quartz-dcn/quartz/internal/sim"
 )
 
 // ExperimentReport is the machine-readable record of one experiment
@@ -88,10 +86,6 @@ type Report struct {
 	// Mem is the run-wide memory summary (nil in reports from versions
 	// that predate it; the field is additive to the v1 schema).
 	Mem *MemStats `json:"mem,omitempty"`
-	// BarrierProfile is the sharded synchronizer's window economics over
-	// the run (sim.BarrierProfileSnapshot delta; nil when no sharded
-	// engine ran or in reports that predate it — additive to v1).
-	BarrierProfile *sim.BarrierProfile `json:"barrier_profile,omitempty"`
 }
 
 // ReportSchema identifies the current report format.

@@ -37,8 +37,8 @@ func (s *Stats) Add(x float64) {
 
 // Merge folds another accumulator into s, as if every observation o
 // recorded had been recorded on s (Chan et al.'s parallel combination
-// of Welford states). Sharded runs keep one Stats per shard and merge
-// at the end; the merged moments can differ from the sequential ones
+// of Welford states). Parallel runs keep one Stats each and merge at
+// the end; the merged moments can differ from the sequential ones
 // in the last floating-point ulp, which is why byte-identity
 // guarantees are stated over integer outputs, not float summaries.
 func (s *Stats) Merge(o *Stats) {

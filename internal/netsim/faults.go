@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/topology"
 )
@@ -266,7 +267,7 @@ func (fi *FaultInjector) Apply(s FaultSchedule) error {
 		fi.detection = s.DetectionDelay
 	}
 	fi.policy = s.Policy
-	now := fi.n.Scheduler().Now()
+	now := fi.n.eng.Now()
 	resolved := make([][]topology.LinkID, len(s.Events))
 	for i, ev := range s.Events {
 		links, err := fi.resolve(ev)
@@ -283,12 +284,9 @@ func (fi *FaultInjector) Apply(s FaultSchedule) error {
 	}
 	for i, ev := range s.Events {
 		ev, links := ev, resolved[i]
-		// On a sharded network these are global events: the
-		// synchronizer parks every shard before running them, so the
-		// injector may flush queues and mutate link state anywhere.
-		fi.n.Scheduler().Schedule(ev.At, func() { fi.inject(ev, links, false) })
+		fi.n.eng.Schedule(ev.At, func() { fi.inject(ev, links, false) })
 		if ev.RepairAt > ev.At {
-			fi.n.Scheduler().Schedule(ev.RepairAt, func() { fi.inject(ev, links, true) })
+			fi.n.eng.Schedule(ev.RepairAt, func() { fi.inject(ev, links, true) })
 		}
 	}
 	return nil
@@ -305,14 +303,14 @@ func (fi *FaultInjector) inject(ev FaultEvent, links []topology.LinkID, repair b
 			fi.failLink(l)
 		}
 	}
-	now := fi.n.Scheduler().Now()
+	now := fi.n.eng.Now()
 	fi.emit(FaultChange{
 		At: now, Event: ev, Links: links, Repair: repair, DeadLinks: fi.DeadCount(),
 	})
-	fi.n.Scheduler().After(fi.detection, func() {
+	fi.n.eng.After(fi.detection, func() {
 		fi.reconverge()
 		fi.emit(FaultChange{
-			At: fi.n.Scheduler().Now(), Event: ev, Links: links, Repair: repair,
+			At: fi.n.eng.Now(), Event: ev, Links: links, Repair: repair,
 			Reconverged: true, DeadLinks: fi.DeadCount(),
 		})
 	})
@@ -341,7 +339,7 @@ func (fi *FaultInjector) failLink(id topology.LinkID) {
 					fi.held = append(fi.held, heldPacket{from: from, p: item.p})
 				} else {
 					dl.drops++
-					fi.n.drop(fi.n.shards[fi.n.shardOfDir[di]], item.p, DropCodeLinkCut, id, nil)
+					fi.n.drop(item.p, DropCodeLinkCut, id, nil)
 				}
 			}
 			q.reset()
@@ -367,17 +365,17 @@ func (fi *FaultInjector) repairLink(id topology.LinkID) {
 // reconverge recomputes routes around the current dead set and releases
 // any packets held for detour.
 func (fi *FaultInjector) reconverge() {
-	dead := fi.Dead()
-	fi.n.rerouteAll(dead)
+	if r, ok := fi.n.router.(routing.Rerouter); ok {
+		r.Reroute(fi.Dead())
+	}
 	if len(fi.held) == 0 {
 		return
 	}
 	held := fi.held
 	fi.held = nil
-	now := fi.n.Scheduler().Now()
+	now := fi.n.eng.Now()
 	for _, h := range held {
-		sh := fi.n.shards[fi.n.shardOfNode[h.from]]
-		fi.n.forward(sh, h.from, h.p, now, 0)
+		fi.n.forward(h.from, h.p, now, 0)
 	}
 }
 
@@ -385,10 +383,8 @@ func (fi *FaultInjector) emit(c FaultChange) {
 	if fi.OnChange != nil {
 		fi.OnChange(c)
 	}
-	for _, sh := range fi.n.shards {
-		if fo, ok := sh.probe.(FaultObserver); ok {
-			fo.FaultChanged(c)
-		}
+	if fo, ok := fi.n.probe.(FaultObserver); ok {
+		fo.FaultChanged(c)
 	}
 }
 

@@ -32,7 +32,7 @@ package service
 // Every job carries an execution trace: POST /jobs reads an optional
 // X-Quartz-Trace header naming it (default: the job ID), job responses
 // echo the header back, and GET /jobs/{id}/trace serves the spans —
-// job lifecycle down to sharded-engine barrier windows — as Chrome
+// job lifecycle down to experiment cells — as Chrome
 // trace-event JSON loadable in Perfetto. The trace of a running job is
 // whatever has been recorded so far.
 //
@@ -187,8 +187,11 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
+	// 200 only for a cache hit (no execution pending). A fresh job that
+	// finished before this line is still 202: the status reports how
+	// the submission was admitted, not how fast the worker was.
 	code := http.StatusAccepted
-	if job.State().Terminal() { // cache hit: no execution pending
+	if job.CacheHit() {
 		code = http.StatusOK
 	}
 	w.Header().Set(traceHeader, job.TraceID())

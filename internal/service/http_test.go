@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"github.com/quartz-dcn/quartz/internal/experiments"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server, *stubRegistry) {
@@ -272,5 +274,52 @@ func TestHTTPDraining503(t *testing.T) {
 	close(sr.release)
 	if err := <-drainDone; err != nil {
 		t.Fatalf("drain: %v", err)
+	}
+}
+
+// TestHTTPRetiredShardsParamIgnored pins the compatibility contract for
+// envelopes written when params carried a "shards" knob: the field is
+// ignored like any other unknown param, so a fig17 submission with
+// "shards": 2 and one without share a cache key and the second is a
+// cache hit on the first's result.
+func TestHTTPRetiredShardsParamIgnored(t *testing.T) {
+	s := New(Config{QueueCapacity: 4, Workers: 1})
+	ts := httptest.NewServer(s.Handler(nil))
+	defer func() {
+		ts.Close()
+		_ = s.Drain(context.Background())
+	}()
+	post := func(body string) (int, View) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var v View
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+			t.Fatalf("decode submit response (status %d): %v", resp.StatusCode, err)
+		}
+		return resp.StatusCode, v
+	}
+	_, withShards := post(`{"experiment": "fig17", "params": {"seed": 7, "tasks": 1, "shards": 2}}`)
+	want := experiments.CacheKey("fig17", experiments.Params{Seed: 7, Tasks: 1})
+	if withShards.Key != want {
+		t.Fatalf("key with shards = %s, want the shard-free key %s", withShards.Key, want)
+	}
+	job, ok := s.Job(withShards.ID)
+	if !ok {
+		t.Fatalf("job %s not found", withShards.ID)
+	}
+	waitTerminal(t, job)
+	if st := job.State(); st != StateDone {
+		t.Fatalf("fig17 job ended %s", st)
+	}
+	status, without := post(`{"experiment": "fig17", "params": {"seed": 7, "tasks": 1}}`)
+	if status != http.StatusOK || !without.CacheHit {
+		t.Fatalf("shard-free resubmission: status %d, cache hit %v; want a 200 cache hit", status, without.CacheHit)
+	}
+	if without.Key != withShards.Key {
+		t.Errorf("keys differ: %s vs %s", without.Key, withShards.Key)
 	}
 }

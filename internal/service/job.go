@@ -68,23 +68,24 @@ func (s *State) UnmarshalJSON(b []byte) error {
 }
 
 // ParamSpec is the wire form of experiments.Params: lowercase JSON
-// field names, zero values meaning "use the default".
+// field names, zero values meaning "use the default". Unknown fields
+// are ignored, so a params object carrying a knob this version no
+// longer has runs (and caches) as if the knob were absent.
 type ParamSpec struct {
 	Seed   int64 `json:"seed,omitempty"`
 	Trials int   `json:"trials,omitempty"`
 	Tasks  int   `json:"tasks,omitempty"`
 	RPCs   int   `json:"rpcs,omitempty"`
-	Shards int   `json:"shards,omitempty"`
 }
 
 // Params converts the wire form to runner parameters.
 func (ps ParamSpec) Params() experiments.Params {
-	return experiments.Params{Seed: ps.Seed, Trials: ps.Trials, Tasks: ps.Tasks, RPCs: ps.RPCs, Shards: ps.Shards}
+	return experiments.Params{Seed: ps.Seed, Trials: ps.Trials, Tasks: ps.Tasks, RPCs: ps.RPCs}
 }
 
 // specOf converts runner parameters back to the wire form.
 func specOf(p experiments.Params) ParamSpec {
-	return ParamSpec{Seed: p.Seed, Trials: p.Trials, Tasks: p.Tasks, RPCs: p.RPCs, Shards: p.Shards}
+	return ParamSpec{Seed: p.Seed, Trials: p.Trials, Tasks: p.Tasks, RPCs: p.RPCs}
 }
 
 // CellRange selects the contiguous sweep cells [Lo, Hi) of a cell-range

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of execution tracing, curl only (no jq):
-# run a sharded quartzsim with -trace-spans and validate the Chrome
-# trace with tracecheck (engine window/barrier spans, flow tracks,
-# per-track timestamp order); run the sharded quartzbench experiment
-# with -trace-spans -json and require a barrier_profile block in the
-# report; then start quartzd, submit a job carrying an X-Quartz-Trace
-# header, and require the header echoed and GET /jobs/{id}/trace to
-# serve a valid trace containing the job lifecycle spans.
-# CI runs this as the trace-smoke job; locally: make trace-smoke.
+# run quartzsim with -trace-spans (unbounded and with -flight-recorder)
+# and validate each Chrome trace with tracecheck (flow tracks,
+# per-track timestamp order); run the cell-parallel table8 experiment
+# through quartzbench -trace-spans -json and require its per-cell spans
+# and a num_cpu field in the report; then start quartzd, submit a job
+# carrying an X-Quartz-Trace header, and require the header echoed and
+# GET /jobs/{id}/trace to serve a valid trace containing the job
+# lifecycle spans.
+# CI runs this as the trace-smoke step; locally: make trace-smoke.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -48,23 +49,21 @@ go build -o "$TMP/quartzbench" ./cmd/quartzbench
 go build -o "$TMP/tracecheck" ./cmd/tracecheck
 go build -o "$TMP/quartzd" ./cmd/quartzd
 
-echo "== quartzsim -shards 4 -trace-spans"
-"$TMP/quartzsim" -shards 4 -ms 2 -tasks 2 -trace-spans "$TMP/sim_spans.json" >/dev/null
-"$TMP/tracecheck" -min-events 100 -require window,barrier,flow "$TMP/sim_spans.json" ||
+echo "== quartzsim -trace-spans"
+"$TMP/quartzsim" -ms 2 -tasks 2 -trace-spans "$TMP/sim_spans.json" >/dev/null
+"$TMP/tracecheck" -min-events 10 -require flow "$TMP/sim_spans.json" ||
     fail "quartzsim trace did not validate"
 
-echo "== quartzsim -flight-recorder"
-"$TMP/quartzsim" -shards 2 -ms 2 -tasks 1 -trace-spans "$TMP/ring_spans.json" -flight-recorder >/dev/null
-"$TMP/tracecheck" -require window "$TMP/ring_spans.json" ||
+echo "== quartzsim -trace-spans -flight-recorder"
+"$TMP/quartzsim" -arch ring -ms 2 -tasks 1 -trace-spans "$TMP/ring_spans.json" -flight-recorder >/dev/null
+"$TMP/tracecheck" -require flow "$TMP/ring_spans.json" ||
     fail "flight-recorder trace did not validate"
 
-echo "== quartzbench -run sharded -trace-spans -json"
-"$TMP/quartzbench" -run sharded -tasks 1 -shards 2 \
+echo "== quartzbench -run table8 -trace-spans -json"
+"$TMP/quartzbench" -run table8 -trials 200 \
     -trace-spans "$TMP/bench_spans.json" -json "$TMP/bench.json" >/dev/null
-"$TMP/tracecheck" -require window,barrier,build,run "$TMP/bench_spans.json" ||
+"$TMP/tracecheck" -min-events 2 -require cell "$TMP/bench_spans.json" ||
     fail "quartzbench trace did not validate"
-grep -q '"barrier_profile"' "$TMP/bench.json" ||
-    fail "no barrier_profile block in the -json report"
 grep -q '"num_cpu"' "$TMP/bench.json" ||
     fail "no num_cpu in the -json report"
 
