@@ -39,8 +39,9 @@ bench:
 bench-json:
 	$(GO) run ./cmd/quartzbench -trials 500 -tasks 4 -rpcs 200 -json BENCH_quartz.json
 
-# Perf gate: run a fresh smoke-scale report and fail if any experiment's
-# events/sec regressed >25% versus the committed BENCH_quartz.json.
+# Perf gate: run a fresh smoke-scale report and fail if any simulator
+# experiment's wall time regressed >25% versus the committed
+# BENCH_quartz.json.
 bench-diff:
 	$(GO) run ./cmd/quartzbench -trials 500 -tasks 4 -rpcs 200 -json /tmp/bench-new.json >/dev/null
 	$(GO) run ./cmd/benchdiff -old BENCH_quartz.json -new /tmp/bench-new.json

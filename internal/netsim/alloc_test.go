@@ -104,7 +104,7 @@ func TestPktQueueWraparound(t *testing.T) {
 	var model []uint64
 	push := func() {
 		next++
-		q.push(queued{p: Packet{ID: next}})
+		q.push(&netEvent{p: Packet{ID: next}})
 		model = append(model, next)
 	}
 	pop := func() {
@@ -142,11 +142,20 @@ func benchNet(b *testing.B) (*Network, topology.NodeID, topology.NodeID) {
 	return net, h0, h1
 }
 
-// BenchmarkForwardDeliver measures the full per-packet lifecycle (six
-// events: two NIC delays, three transmissions, delivery).
+// reportEventsPerPacket reports the engine events the benchmark ran
+// per packet sent, from the Processed count at its start.
+func reportEventsPerPacket(b *testing.B, net *Network, start uint64) {
+	b.ReportMetric(float64(net.Engine().Processed()-start)/float64(b.N), "events/pkt")
+}
+
+// BenchmarkForwardDeliver measures the full per-packet lifecycle over
+// the two-switch path: the source NIC delay, an arrival per link (three
+// links), a transmit completion only where packets wait behind the
+// frame, and the receive-side NIC delay.
 func BenchmarkForwardDeliver(b *testing.B) {
 	net, h0, h1 := benchNet(b)
 	b.ReportAllocs()
+	start := net.Engine().Processed()
 	for i := 0; i < b.N; i++ {
 		net.Unicast(routing.FlowID(i&1023), h0, h1, 1500, 0)
 		if i&255 == 255 {
@@ -157,6 +166,7 @@ func BenchmarkForwardDeliver(b *testing.B) {
 	if net.Delivered() != uint64(b.N) {
 		b.Fatalf("delivered %d of %d", net.Delivered(), b.N)
 	}
+	reportEventsPerPacket(b, net, start)
 }
 
 // BenchmarkTransmitQueue drives a deep output queue through one
@@ -169,6 +179,7 @@ func BenchmarkTransmitQueue(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	start := net.Engine().Processed()
 	for i := 0; i < b.N; i++ {
 		net.Unicast(routing.FlowID(i&63), h0, h1, 1500, 0)
 		if i&1023 == 1023 {
@@ -176,4 +187,5 @@ func BenchmarkTransmitQueue(b *testing.B) {
 		}
 	}
 	net.Engine().Run()
+	reportEventsPerPacket(b, net, start)
 }

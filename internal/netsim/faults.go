@@ -133,13 +133,6 @@ type FaultObserver interface {
 // detection plus local route recomputation.
 const DefaultDetectionDelay = 1 * sim.Millisecond
 
-// heldPacket is an in-flight packet pulled off a cut port, awaiting
-// reconvergence under DetourInFlight.
-type heldPacket struct {
-	from topology.NodeID
-	p    Packet
-}
-
 // FaultInjector is the unified failure surface of a Network: it owns
 // every link's up/down state (reference-counted, so overlapping faults
 // compose), applies FaultSchedules, and drives reconvergence. Obtain it
@@ -154,7 +147,10 @@ type FaultInjector struct {
 	detection sim.Time
 	policy    ReroutePolicy
 	fiber     func(fiber, segment int) ([]topology.LinkID, error)
-	held      []heldPacket
+	// held are the packet records pulled off cut ports, awaiting
+	// reconvergence under DetourInFlight; each record's node is the
+	// port's node, where it re-forwards from.
+	held []*netEvent
 	// OnChange, when set, observes every FaultChange alongside any
 	// probe implementing FaultObserver.
 	OnChange func(FaultChange)
@@ -328,18 +324,18 @@ func (fi *FaultInjector) failLink(id topology.LinkID) {
 	for d := 0; d < 2; d++ {
 		di := 2*int(id) + d
 		dl := &fi.n.dirs[di]
+		fi.n.settle(dl)
 		dl.down = true
-		from := fi.n.portRef(di).From
 		for pri := range dl.queues {
 			q := &dl.queues[pri]
 			for i := 0; i < q.len(); i++ {
-				item := q.at(i)
-				dl.queuedBytes -= item.p.Size
+				ev := q.at(i)
+				dl.queuedBytes -= ev.p.Size
 				if fi.policy == DetourInFlight {
-					fi.held = append(fi.held, heldPacket{from: from, p: item.p})
+					fi.held = append(fi.held, ev)
 				} else {
 					dl.drops++
-					fi.n.drop(item.p, DropCodeLinkCut, id, nil)
+					fi.n.drop(ev, DropCodeLinkCut, id, nil)
 				}
 			}
 			q.reset()
@@ -374,8 +370,8 @@ func (fi *FaultInjector) reconverge() {
 	held := fi.held
 	fi.held = nil
 	now := fi.n.eng.Now()
-	for _, h := range held {
-		fi.n.forward(h.from, h.p, now, 0)
+	for _, ev := range held {
+		fi.n.forward(ev, now)
 	}
 }
 

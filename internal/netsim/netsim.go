@@ -263,18 +263,33 @@ type Network struct {
 	dropped   uint64
 }
 
-// netEvent is a pooled, typed simulation event (sim.Action): one record
-// carries a packet through NIC delays, propagation, and host
-// forwarding. Records recycle through Network.freeEv, so after warm-up
-// a packet's whole lifecycle schedules without heap allocation —
-// replacing the per-event closures that used to dominate the profile.
+// netEvent is a packet's one record from Send until deliver or drop.
+// It is a pooled, typed simulation event (sim.Action) that carries the
+// packet through NIC delays, propagation and host forwarding, and the
+// port queues hold it by pointer while the packet waits to transmit:
+// every hop mutates and reschedules the same record, so the packet is
+// copied into it once, at Send. Records return to Network.freeEv at
+// deliver or drop, so after warm-up a packet's whole lifecycle runs
+// without heap allocation.
 type netEvent struct {
 	n    *Network
 	kind uint8
+	// node is where the packet is: the node it arrives at, forwards
+	// from, or waits at in an output queue.
 	node topology.NodeID
-	ser  sim.Time
-	p    Packet
-	next *netEvent // free-list link
+	// ser is a serialization time: of the inbound link while the packet
+	// arrives, of the outbound port (wire serialization or the
+	// forwarding engine's per-frame service, whichever is longer) while
+	// it waits in that port's queue.
+	ser sim.Time
+	// ready is the earliest instant the transmitter may start (switch
+	// processing complete; may lie in the past for cut-through heads).
+	ready sim.Time
+	// tailIn is when the packet's tail fully arrived at node: the
+	// retransmission cannot complete before it.
+	tailIn sim.Time
+	p      Packet
+	next   *netEvent // free-list link
 }
 
 const (
@@ -283,26 +298,22 @@ const (
 	evForward              // source NIC or host stack delay elapsed
 )
 
-// Run implements sim.Action. The record is returned to the pool before
-// dispatch so the handlers it calls can immediately reuse it.
+// Run implements sim.Action.
 func (ev *netEvent) Run(int64, int64) {
-	n, kind, node, ser, p := ev.n, ev.kind, ev.node, ev.ser, ev.p
-	ev.p = Packet{} // release the Path slice, if any
-	ev.next = n.freeEv
-	n.freeEv = ev
-	switch kind {
+	n := ev.n
+	switch ev.kind {
 	case evArrive:
-		n.arrive(node, p, ser)
+		n.arrive(ev)
 	case evDeliver:
-		n.deliver(p)
+		n.deliver(ev)
 	case evForward:
-		n.forward(node, p, n.eng.Now(), ser)
+		n.forward(ev, n.eng.Now())
 	}
 }
 
 // newEvent takes a record from the pool (or allocates the pool's next
 // record) and fills it.
-func (n *Network) newEvent(kind uint8, node topology.NodeID, ser sim.Time, p Packet) *netEvent {
+func (n *Network) newEvent(kind uint8, node topology.NodeID, p Packet) *netEvent {
 	ev := n.freeEv
 	if ev == nil {
 		ev = &netEvent{n: n}
@@ -310,8 +321,15 @@ func (n *Network) newEvent(kind uint8, node topology.NodeID, ser sim.Time, p Pac
 		n.freeEv = ev.next
 		ev.next = nil
 	}
-	ev.kind, ev.node, ev.ser, ev.p = kind, node, ser, p
+	ev.kind, ev.node, ev.p = kind, node, p
 	return ev
+}
+
+// free returns a record to the pool.
+func (n *Network) free(ev *netEvent) {
+	ev.p = Packet{} // release the Path slice, if any
+	ev.next = n.freeEv
+	n.freeEv = ev
 }
 
 // txDoneAction completes a transmission: Run's arguments encode the
@@ -328,59 +346,41 @@ func (t *txDoneAction) Run(di, size int64) {
 // numPriorities is the number of output-queue classes per port.
 const numPriorities = 2
 
-// queued is one packet waiting at an output port.
-type queued struct {
-	p Packet
-	// ready is the earliest instant the transmitter may start (switch
-	// processing complete; may lie in the past for cut-through heads).
-	ready sim.Time
-	// tailIn is when the packet's tail fully arrived at this node: the
-	// retransmission cannot complete before it.
-	tailIn sim.Time
-	// ser is the outbound occupancy (wire serialization or the
-	// forwarding engine's per-frame service, whichever is longer).
-	ser sim.Time
-}
-
-// pktQueue is a power-of-two ring buffer of queued packets. The old
-// representation popped with dl.queues[pri] = dl.queues[pri][1:], which
-// walks the backing array forward (forcing append to reallocate) and
-// pins every popped packet until the array is dropped; the ring reuses
-// its storage indefinitely and zeroes each slot as it pops.
+// pktQueue is a power-of-two ring buffer of waiting packet records.
+// The ring reuses its storage indefinitely and clears each slot as it
+// pops.
 type pktQueue struct {
-	buf  []queued // len(buf) is a power of two (or zero before first push)
-	head int      // index of the front element; always < len(buf)
+	buf  []*netEvent // len(buf) is a power of two (or zero before first push)
+	head int         // index of the front element; always < len(buf)
 	n    int
 }
 
 func (q *pktQueue) len() int { return q.n }
 
-func (q *pktQueue) push(item queued) {
+func (q *pktQueue) push(ev *netEvent) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = item
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = ev
 	q.n++
 }
 
-func (q *pktQueue) pop() queued {
-	item := q.buf[q.head]
-	q.buf[q.head] = queued{} // release packet references
+func (q *pktQueue) pop() *netEvent {
+	ev := q.buf[q.head]
+	q.buf[q.head] = nil
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
-	return item
+	return ev
 }
 
 // at returns the i-th element from the front (for fault-time flushes).
-func (q *pktQueue) at(i int) *queued {
-	return &q.buf[(q.head+i)&(len(q.buf)-1)]
+func (q *pktQueue) at(i int) *netEvent {
+	return q.buf[(q.head+i)&(len(q.buf)-1)]
 }
 
 // reset empties the queue, keeping capacity and releasing references.
 func (q *pktQueue) reset() {
-	for i := range q.buf {
-		q.buf[i] = queued{}
-	}
+	clear(q.buf)
 	q.head, q.n = 0, 0
 }
 
@@ -389,9 +389,9 @@ func (q *pktQueue) grow() {
 	if newCap == 0 {
 		newCap = 8
 	}
-	nb := make([]queued, newCap)
+	nb := make([]*netEvent, newCap)
 	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		nb[i] = q.at(i)
 	}
 	q.buf = nb
 	q.head = 0
@@ -409,6 +409,13 @@ type dirLink struct {
 	queues [numPriorities]pktQueue
 	busy   bool
 	freeAt sim.Time
+
+	// doneAt, doneSeq and doneSize describe a transmission that left
+	// both queues empty: its completion is a reserved event slot, not
+	// an event (doneSeq is non-zero while it is pending). See settle.
+	doneAt   sim.Time
+	doneSeq  uint64
+	doneSize int
 
 	drops     uint64
 	txPackets uint64
@@ -530,20 +537,36 @@ func (n *Network) Send(p Packet) uint64 {
 	}
 	if p.Src == p.Dst {
 		// Loopback: deliver after the stack round trip.
-		n.eng.AfterAction(2*n.host.NICLatency, n.newEvent(evDeliver, p.Src, 0, p), 0, 0)
+		n.eng.AfterAction(2*n.host.NICLatency, n.newEvent(evDeliver, p.Src, p), 0, 0)
 		return p.ID
 	}
 	// NIC send-side latency, then onto the wire.
-	n.eng.AfterAction(n.host.NICLatency, n.newEvent(evForward, p.Src, 0, p), 0, 0)
+	n.eng.AfterAction(n.host.NICLatency, n.newEvent(evForward, p.Src, p), 0, 0)
 	return p.ID
 }
 
-// forward routes packet p out of node at readyTime (the time its tail
-// is ready to begin serialization on the chosen output). serIn is the
-// serialization time of the inbound link (0 at the source host).
-func (n *Network) forward(node topology.NodeID, p Packet, readyTime sim.Time, serIn sim.Time) {
+// settle applies dl's pending lazy transmit completion once the engine
+// has passed its reserved slot: exactly what txDone does when it finds
+// the queues empty, which they are — any packet joining them arms the
+// completion as a real event (see forward). Every reader of a port's
+// queue depth or busy state settles first, so the deferred update is
+// invisible: the slot was reserved at transmit, is settled on read and
+// armed on enqueue, and the engine's sequence numbers advance exactly as
+// if the completion had been scheduled.
+func (n *Network) settle(dl *dirLink) {
+	if dl.doneSeq != 0 && n.eng.Passed(dl.doneAt, dl.doneSeq) {
+		dl.queuedBytes -= dl.doneSize
+		dl.busy = false
+		dl.doneSeq = 0
+	}
+}
+
+// forward routes the packet of ev out of ev.node at readyTime (the time
+// its tail is ready to begin serialization on the chosen output).
+func (n *Network) forward(ev *netEvent, readyTime sim.Time) {
+	p, node := &ev.p, ev.node
 	if p.Hops >= maxHops {
-		n.drop(p, DropCodeHopLimit, -1, nil)
+		n.drop(ev, DropCodeHopLimit, -1, nil)
 		return
 	}
 	if node == p.Waypoint {
@@ -554,7 +577,7 @@ func (n *Network) forward(node topology.NodeID, p Packet, readyTime sim.Time, se
 		Hash: p.Hash,
 	})
 	if err != nil {
-		n.drop(p, DropCodeNoRoute, -1, err)
+		n.drop(ev, DropCodeNoRoute, -1, err)
 		return
 	}
 	link := n.g.Link(port.Link)
@@ -563,14 +586,15 @@ func (n *Network) forward(node topology.NodeID, p Packet, readyTime sim.Time, se
 		di++
 	}
 	dl := &n.dirs[di]
+	n.settle(dl)
 	if dl.down {
 		dl.drops++
-		n.drop(p, DropCodeLinkDown, port.Link, nil)
+		n.drop(ev, DropCodeLinkDown, port.Link, nil)
 		return
 	}
 	if dl.queuedBytes+p.Size > dl.capBytes {
 		dl.drops++
-		n.drop(p, DropCodeQueueFull, port.Link, nil)
+		n.drop(ev, DropCodeQueueFull, port.Link, nil)
 		return
 	}
 	if n.g.Node(node).Kind == topology.Switch {
@@ -591,17 +615,22 @@ func (n *Network) forward(node topology.NodeID, p Packet, readyTime sim.Time, se
 	if pri >= numPriorities {
 		pri = numPriorities - 1
 	}
-	dl.queues[pri].push(queued{
-		p: p, ready: readyTime, tailIn: n.eng.Now(), ser: ser,
-	})
+	ev.ready, ev.tailIn, ev.ser = readyTime, n.eng.Now(), ser
+	dl.queues[pri].push(ev)
 	if n.probe != nil {
 		n.probe.PacketEnqueued(QueueEvent{
 			At: n.eng.Now(), Port: PortRef{Link: port.Link, From: node},
-			QueuedBytes: dl.queuedBytes, Packet: p,
+			QueuedBytes: dl.queuedBytes, Packet: *p,
 		})
 	}
-	if !dl.busy {
+	switch {
+	case !dl.busy:
 		n.transmitNext(di)
+	case dl.doneSeq != 0:
+		// The transmitter is still busy with a lazily completed frame:
+		// the completion must now run to start this packet.
+		n.eng.ScheduleReserved(dl.doneAt, dl.doneSeq, &n.txDone, int64(di), int64(dl.doneSize))
+		dl.doneSeq = 0
 	}
 }
 
@@ -610,115 +639,130 @@ func (n *Network) forward(node topology.NodeID, p Packet, readyTime sim.Time, se
 // event until the queues drain.
 func (n *Network) transmitNext(di int) {
 	dl := &n.dirs[di]
-	var item queued
-	found := false
+	var ev *netEvent
 	for pri := 0; pri < numPriorities; pri++ {
 		if dl.queues[pri].len() > 0 {
-			item = dl.queues[pri].pop()
-			found = true
+			ev = dl.queues[pri].pop()
 			break
 		}
 	}
-	if !found {
+	if ev == nil {
 		dl.busy = false
 		return
 	}
 	dl.busy = true
 	start := dl.freeAt
-	if item.ready > start {
-		start = item.ready
+	if ev.ready > start {
+		start = ev.ready
 	}
-	endTx := start + item.ser
-	if endTx < item.tailIn {
+	endTx := start + ev.ser
+	if endTx < ev.tailIn {
 		// A cut-through head start cannot let the tail leave before it
 		// has fully arrived.
-		endTx = item.tailIn
+		endTx = ev.tailIn
 	}
 	if now := n.eng.Now(); endTx < now {
 		endTx = now
 	}
+	size := ev.p.Size
 	dl.freeAt = endTx
 	dl.txPackets++
-	dl.txBytes += uint64(item.p.Size)
-	dl.busyTime += item.ser
+	dl.txBytes += uint64(size)
+	dl.busyTime += ev.ser
 	l := n.g.Link(topology.LinkID(di / 2))
 	peer := l.A
 	if di%2 == 0 {
 		peer = l.B
 	}
-	p := item.p
-	size := p.Size
-	ser := item.ser
 	if n.probe != nil {
 		// QueuedBytes reflects the depth once this packet's tail leaves,
 		// which is also when At falls.
 		n.probe.PacketTransmitted(QueueEvent{
-			At: endTx, Port: n.portRef(di), QueuedBytes: dl.queuedBytes - size, Packet: p,
+			At: endTx, Port: n.portRef(di), QueuedBytes: dl.queuedBytes - size, Packet: ev.p,
 		})
 	}
-	// Completion first, then arrival — the schedule order older closure
-	// code used, preserved so event ordering (and every result) is
-	// byte-identical.
-	n.eng.ScheduleAction(endTx, &n.txDone, int64(di), int64(size))
-	n.eng.ScheduleAction(endTx+dl.prop, n.newEvent(evArrive, peer, ser, p), 0, 0)
+	// Completion first, then arrival: the schedule order every result
+	// was produced with. With the queues now empty the completion would
+	// find nothing to send, so only its slot is reserved (see settle).
+	if dl.queues[0].len() == 0 && dl.queues[1].len() == 0 {
+		dl.doneAt, dl.doneSeq, dl.doneSize = endTx, n.eng.Reserve(), size
+	} else {
+		n.eng.ScheduleAction(endTx, &n.txDone, int64(di), int64(size))
+	}
+	ev.kind, ev.node = evArrive, peer
+	n.eng.ScheduleAction(endTx+dl.prop, ev, 0, 0)
 }
 
-// arrive handles the tail of packet p reaching node at the current
-// simulation time, having been serialized over serIn.
-func (n *Network) arrive(node topology.NodeID, p Packet, serIn sim.Time) {
+// arrive handles the tail of ev's packet reaching ev.node at the
+// current simulation time, having been serialized over ev.ser.
+func (n *Network) arrive(ev *netEvent) {
 	now := n.eng.Now()
+	p, node := &ev.p, ev.node
 	if n.record {
 		p.Path = append(p.Path, node)
 	}
+	p.Hops++
 	if node == p.Dst {
-		p.Hops++
 		// NIC receive-side latency.
-		n.eng.AfterAction(n.host.NICLatency, n.newEvent(evDeliver, node, 0, p), 0, 0)
+		ev.kind = evDeliver
+		n.eng.AfterAction(n.host.NICLatency, ev, 0, 0)
 		return
 	}
-	p.Hops++
 	if n.g.Node(node).Kind == topology.Host {
 		// Server-side forwarding (BCube-style): pay the OS stack.
-		n.eng.AfterAction(n.host.ForwardLatency, n.newEvent(evForward, node, serIn, p), 0, 0)
+		ev.kind = evForward
+		n.eng.AfterAction(n.host.ForwardLatency, ev, 0, 0)
 		return
 	}
 	m := &n.models[node]
 	var ready sim.Time
 	if m.CutThrough {
-		// The head arrived serIn ago and may leave m.Latency later. The
+		// The head arrived ser ago and may leave m.Latency later. The
 		// tail cannot leave the output before it has arrived here;
-		// forward clamps the transmit completion to now.
-		ready = now - serIn + m.Latency
+		// transmitNext clamps the transmit completion to now.
+		ready = now - ev.ser + m.Latency
 	} else {
 		// Store-and-forward: wait for the full frame, then process.
 		ready = now + m.Latency
 	}
-	n.forward(node, p, ready, serIn)
+	n.forward(ev, ready)
 }
 
-func (n *Network) deliver(p Packet) {
+// deliver ends a packet's life at its destination. The record goes back
+// to the pool before the hooks run (they may send, and reuse it); the
+// hooks get a copy of the packet, taken only when one is attached.
+func (n *Network) deliver(ev *netEvent) {
 	n.delivered++
-	if n.onDeliver != nil || n.probe != nil {
-		d := Delivery{Packet: p, At: n.eng.Now(), Latency: n.eng.Now() - p.Created}
-		if n.onDeliver != nil {
-			n.onDeliver(d)
-		}
-		if n.probe != nil {
-			n.probe.PacketDelivered(d)
-		}
+	if n.onDeliver == nil && n.probe == nil {
+		n.free(ev)
+		return
+	}
+	now := n.eng.Now()
+	d := Delivery{Packet: ev.p, At: now, Latency: now - ev.p.Created}
+	n.free(ev)
+	if n.onDeliver != nil {
+		n.onDeliver(d)
+	}
+	if n.probe != nil {
+		n.probe.PacketDelivered(d)
 	}
 }
 
-func (n *Network) drop(p Packet, code DropCode, link topology.LinkID, err error) {
+// drop ends a packet's life early, recycling its record the way deliver
+// does.
+func (n *Network) drop(ev *netEvent, code DropCode, link topology.LinkID, err error) {
 	n.dropped++
-	if n.onDrop != nil || n.probe != nil {
-		d := Drop{Packet: p, At: n.eng.Now(), Code: code, Link: link, Err: err}
-		if n.onDrop != nil {
-			n.onDrop(d)
-		}
-		if n.probe != nil {
-			n.probe.PacketDropped(d)
-		}
+	if n.onDrop == nil && n.probe == nil {
+		n.free(ev)
+		return
+	}
+	d := Drop{Packet: ev.p, At: n.eng.Now(), Code: code, Link: link, Err: err}
+	n.free(ev)
+	if n.onDrop != nil {
+		n.onDrop(d)
+	}
+	if n.probe != nil {
+		n.probe.PacketDropped(d)
 	}
 }
 
@@ -739,5 +783,7 @@ func (n *Network) QueuedBytes(link topology.LinkID, from topology.NodeID) int {
 	if n.g.Link(link).B == from {
 		di++
 	}
-	return n.dirs[di].queuedBytes
+	dl := &n.dirs[di]
+	n.settle(dl)
+	return dl.queuedBytes
 }

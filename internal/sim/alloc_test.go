@@ -9,6 +9,9 @@ type countAction struct {
 	ran  int
 	eng  *Engine
 	hops int64
+	// reserve re-arms through Reserve and ScheduleReserved instead of
+	// ScheduleAction.
+	reserve bool
 }
 
 func (c *countAction) Run(a, b int64) {
@@ -16,24 +19,33 @@ func (c *countAction) Run(a, b int64) {
 	if a > 0 {
 		// Re-arm: model a chain of typed events, the way the packet
 		// simulator's transmit/arrive events re-schedule each other.
-		c.eng.ScheduleAction(c.eng.Now()+Nanosecond, c, a-1, b)
+		at := c.eng.Now() + Nanosecond
+		if c.reserve {
+			c.eng.ScheduleReserved(at, c.eng.Reserve(), c, a-1, b)
+		} else {
+			c.eng.ScheduleAction(at, c, a-1, b)
+		}
 	}
 }
 
 // TestScheduleActionZeroAllocs locks in the tentpole invariant: once
 // the queue's backing storage is warm, scheduling and running typed
 // events allocates nothing — no closure, no interface boxing, no
-// re-sliced buckets.
+// re-sliced buckets — whether they are scheduled directly or armed in
+// reserved slots.
 func TestScheduleActionZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		eng  *Engine
+		name    string
+		eng     *Engine
+		reserve bool
 	}{
-		{"heap", NewEngine()},
-		{"calendar", NewCalendarEngine()},
+		{"heap", NewEngine(), false},
+		{"calendar", NewCalendarEngine(), false},
+		{"heap/reserved", NewEngine(), true},
+		{"calendar/reserved", NewCalendarEngine(), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			act := &countAction{eng: tc.eng}
+			act := &countAction{eng: tc.eng, reserve: tc.reserve}
 			// Warm the queue storage.
 			tc.eng.ScheduleAction(tc.eng.Now()+Nanosecond, act, 64, 0)
 			tc.eng.Run()

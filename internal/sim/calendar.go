@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"sort"
 )
 
@@ -114,9 +115,13 @@ func (b *bucket) compact() {
 // day. For workloads whose event horizon is dense and roughly uniform —
 // packet simulations are — enqueue and dequeue approach O(1). The
 // structure resizes itself to keep about one event per bucket.
+//
+// The bucket count and the day width are both powers of two, so an
+// event's bucket is a shift and a mask of its timestamp, not two
+// divisions.
 type calendarQueue struct {
 	buckets  []bucket
-	width    Time // day width
+	shift    uint // the day width is 1<<shift
 	dayStart Time // start time of the current day
 	day      int  // current bucket index
 	n        int
@@ -125,31 +130,39 @@ type calendarQueue struct {
 }
 
 // newCalendarQueue returns a calendar queue tuned for picosecond
-// packet workloads: the initial day width matches a few hundred
+// packet workloads: the initial day width (2^18 ps) is a few hundred
 // nanoseconds of virtual time.
 func newCalendarQueue() *calendarQueue {
 	q := &calendarQueue{}
-	q.init(64, 256*Nanosecond, 0)
+	q.init(64, 18, 0)
 	return q
 }
 
-func (q *calendarQueue) init(nbuckets int, width, start Time) {
+func (q *calendarQueue) init(nbuckets int, shift uint, start Time) {
 	q.buckets = make([]bucket, nbuckets)
-	q.width = width
-	q.dayStart = start - start%width
+	q.shift = shift
 	if start < 0 {
-		q.dayStart = 0
+		start = 0
 	}
-	q.day = int(q.dayStart/width) % nbuckets
+	q.dayStart = start &^ (q.width() - 1)
+	q.day = q.bucketFor(q.dayStart)
 	q.resizeUp = 2 * nbuckets
 	q.resizeDn = nbuckets/2 - 2
 }
 
+func (q *calendarQueue) width() Time { return 1 << q.shift }
+
 func (q *calendarQueue) bucketFor(at Time) int {
-	return int(at/q.width) % len(q.buckets)
+	return int(at>>q.shift) & (len(q.buckets) - 1)
 }
 
 func (q *calendarQueue) push(e event) {
+	if e.at < q.dayStart {
+		// peekAt parked the cursor on a later day than this event's
+		// (RunUntil stopped short of it); move it back.
+		q.dayStart = e.at &^ (q.width() - 1)
+		q.day = q.bucketFor(e.at)
+	}
 	bk := &q.buckets[q.bucketFor(e.at)]
 	evs := bk.evs
 	// Insert keeping the live window sorted by (at, seq); buckets stay
@@ -168,32 +181,21 @@ func (q *calendarQueue) push(e event) {
 	}
 }
 
-func (q *calendarQueue) pop() event {
+// seek parks the day cursor on the bucket whose head is the earliest
+// event. A peekAt followed by pop therefore scans the calendar once:
+// pop finds the cursor already in place.
+func (q *calendarQueue) seek() *bucket {
+	w := q.width()
 	for {
 		// Scan forward from the current day for the next event that
 		// belongs to the current year window.
 		for i := 0; i < len(q.buckets); i++ {
-			b := (q.day + i) % len(q.buckets)
-			dayStart := q.dayStart + Time(i)*q.width
-			bk := &q.buckets[b]
-			if bk.len() > 0 && bk.evs[bk.head].at < dayStart+q.width {
-				e := bk.evs[bk.head]
-				bk.evs[bk.head] = event{} // release references
-				bk.head++
-				if bk.head == len(bk.evs) {
-					bk.evs = bk.evs[:0]
-					bk.head = 0
-				} else {
-					bk.compact()
-				}
-				q.n--
-				q.day = b
-				q.dayStart = dayStart
-				if q.n < q.resizeDn && len(q.buckets) > 64 {
-					q.resize(len(q.buckets) / 2)
-				}
-				return e
+			bk := &q.buckets[q.day]
+			if bk.head < len(bk.evs) && bk.evs[bk.head].at < q.dayStart+w {
+				return bk
 			}
+			q.day = (q.day + 1) & (len(q.buckets) - 1)
+			q.dayStart += w
 		}
 		// Nothing in this year: jump to the globally earliest event.
 		min := MaxTime
@@ -208,39 +210,41 @@ func (q *calendarQueue) pop() event {
 		if !found {
 			panic("sim: pop on empty calendar queue")
 		}
-		q.dayStart = min - min%q.width
-		q.day = q.bucketFor(q.dayStart)
+		q.dayStart = min &^ (w - 1)
+		q.day = q.bucketFor(min)
 	}
 }
 
+func (q *calendarQueue) pop() event {
+	bk := q.seek()
+	e := bk.evs[bk.head]
+	bk.evs[bk.head] = event{} // release references
+	bk.head++
+	if bk.head == len(bk.evs) {
+		bk.evs = bk.evs[:0]
+		bk.head = 0
+	} else {
+		bk.compact()
+	}
+	q.n--
+	if q.n < q.resizeDn && len(q.buckets) > 64 {
+		q.resize(len(q.buckets) / 2)
+	}
+	return e
+}
+
 func (q *calendarQueue) peekAt() Time {
-	// Used only to decide whether to stop before `end`; a full scan is
-	// acceptable because RunUntil calls it once per event anyway, and
-	// the common case finds the event in the current day.
-	for i := 0; i < len(q.buckets); i++ {
-		b := (q.day + i) % len(q.buckets)
-		dayStart := q.dayStart + Time(i)*q.width
-		bk := &q.buckets[b]
-		if bk.len() > 0 && bk.evs[bk.head].at < dayStart+q.width {
-			return bk.evs[bk.head].at
-		}
-	}
-	min := MaxTime
-	for i := range q.buckets {
-		bk := &q.buckets[i]
-		if bk.len() > 0 && bk.evs[bk.head].at < min {
-			min = bk.evs[bk.head].at
-		}
-	}
-	return min
+	bk := q.seek()
+	return bk.evs[bk.head].at
 }
 
 func (q *calendarQueue) size() int { return q.n }
 
 // resize rebuilds the calendar with a new bucket count and a day width
-// estimated from the current event spread. Resizes are amortized-rare
-// (the thresholds are geometric), so the gather-and-redistribute
-// allocation here does not affect steady-state behaviour.
+// estimated from the current event spread: the span over the event
+// count, rounded to a power of two. Resizes are amortized-rare (the
+// thresholds are geometric), so the gather-and-redistribute allocation
+// here does not affect steady-state behaviour.
 func (q *calendarQueue) resize(nbuckets int) {
 	all := make([]event, 0, q.n)
 	for i := range q.buckets {
@@ -248,21 +252,30 @@ func (q *calendarQueue) resize(nbuckets int) {
 		all = append(all, bk.evs[bk.head:]...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].before(&all[j]) })
-	width := q.width
+	shift := q.shift
 	if len(all) > 2 {
 		span := all[len(all)-1].at - all[0].at
 		if w := span / Time(len(all)); w > 0 {
-			width = w
+			shift = log2Round(w)
 		}
 	}
 	start := q.dayStart
 	if len(all) > 0 && all[0].at < start {
 		start = all[0].at
 	}
-	q.init(nbuckets, width, start)
+	q.init(nbuckets, shift, start)
 	q.n = len(all)
 	for _, e := range all {
 		b := q.bucketFor(e.at)
 		q.buckets[b].evs = append(q.buckets[b].evs, e)
 	}
+}
+
+// log2Round returns the exponent of the power of two nearest w (> 0).
+func log2Round(w Time) uint {
+	s := uint(bits.Len64(uint64(w)) - 1)
+	if w-Time(1)<<s > Time(1)<<(s+1)-w {
+		s++
+	}
+	return s
 }

@@ -64,9 +64,14 @@ func (t Telemetry) EventsPerSecond() float64 {
 // safe for concurrent use; run independent simulations in independent
 // Engines (they share nothing).
 type Engine struct {
-	now     Time
-	queue   eventQueue
-	seq     uint64
+	now   Time
+	queue eventQueue
+	seq   uint64
+	// curSeq is the schedule sequence number of the engine's position
+	// within instant now: the event running (or last run), or, after a
+	// run that drained everything up to its end, the last number
+	// handed out. Passed compares against (now, curSeq).
+	curSeq  uint64
 	stopped bool
 	ran     uint64
 	peak    int
@@ -146,6 +151,41 @@ func (e *Engine) ScheduleAction(at Time, act Action, a, b int64) {
 	}
 }
 
+// Reserve claims the next schedule-sequence number without scheduling
+// anything: an event later armed in that slot with ScheduleReserved
+// ties with other events at its instant exactly as if it had been
+// scheduled at the moment of the Reserve call. Code that usually turns
+// out not to need an event can reserve its slot, ask Passed whether the
+// engine has gone past it, and arm it only when the event must
+// actually run — the packet simulator's transmit completions work this
+// way.
+func (e *Engine) Reserve() uint64 {
+	e.seq++
+	return e.seq
+}
+
+// ScheduleReserved arms act.Run(a, b) at time at in the slot seq
+// returned by Reserve. Arming a slot the engine has already passed
+// panics: the event would run out of order.
+func (e *Engine) ScheduleReserved(at Time, seq uint64, act Action, a, b int64) {
+	if e.Passed(at, seq) {
+		panic(fmt.Sprintf("sim: reserved slot (%v, %d) already passed (now %v, %d)", at, seq, e.now, e.curSeq))
+	}
+	e.queue.push(event{at: at, seq: seq, act: act, a: a, b: b})
+	if s := e.queue.size(); s > e.peak {
+		e.peak = s
+	}
+}
+
+// Passed reports whether an event at time at with schedule sequence
+// seq would already have run: it orders before the event running now,
+// or before the point a finished RunUntil reached. A reserved slot
+// that Passed reports is one whose event, had it been armed, the
+// engine would have processed.
+func (e *Engine) Passed(at Time, seq uint64) bool {
+	return at < e.now || (at == e.now && seq <= e.curSeq)
+}
+
 // After runs fn delay after the current time. Like Schedule, the
 // closure form allocates; prefer AfterAction on per-packet paths.
 func (e *Engine) After(delay Time, fn func()) {
@@ -173,7 +213,9 @@ func (e *Engine) Run() {
 
 // RunUntil processes events with timestamps <= end, then advances the
 // clock to end (if it is later than the last event). Events scheduled at
-// exactly end are processed.
+// exactly end are processed. A run halted by Stop leaves the clock at
+// the stopping event, so resuming runs what is still pending at its own
+// time.
 func (e *Engine) RunUntil(end Time) {
 	e.stopped = false
 	start := time.Now()
@@ -185,7 +227,7 @@ func (e *Engine) RunUntil(end Time) {
 			break
 		}
 		ev := e.queue.pop()
-		e.now = ev.at
+		e.now, e.curSeq = ev.at, ev.seq
 		e.ran++
 		if ev.fn != nil {
 			ev.fn()
@@ -199,9 +241,14 @@ func (e *Engine) RunUntil(end Time) {
 	e.running = false
 	e.wall += time.Since(start)
 	totalEvents.Add(e.ran - startRan)
-	if e.now < end && end < MaxTime {
+	if e.stopped || end < e.now {
+		return
+	}
+	// Every event up to end has run.
+	if end < MaxTime {
 		e.now = end
 	}
+	e.curSeq = e.seq
 }
 
 // wallNow returns wall-clock time spent in Run/RunUntil so far,

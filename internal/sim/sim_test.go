@@ -249,3 +249,184 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 		e.Run()
 	}
 }
+
+// TestRunUntilStopKeepsClock: a RunUntil halted by Stop must leave the
+// clock at the stopping event. Advancing it to end would run the
+// still-pending event at t=2 with the clock reading 10 before it.
+func TestRunUntilStopKeepsClock(t *testing.T) {
+	for _, mk := range []func() *Engine{NewEngine, NewCalendarEngine} {
+		e := mk()
+		var at []Time
+		e.Schedule(1, func() { at = append(at, e.Now()); e.Stop() })
+		e.Schedule(2, func() { at = append(at, e.Now()) })
+		e.RunUntil(10)
+		if e.Now() != 1 || e.Pending() != 1 {
+			t.Fatalf("after Stop: Now()=%v Pending()=%d, want 1 and 1", e.Now(), e.Pending())
+		}
+		e.RunUntil(10)
+		if len(at) != 2 || at[1] != 2 {
+			t.Fatalf("events ran at %v, want [1 2]", at)
+		}
+		if e.Now() != 10 {
+			t.Errorf("Now()=%v after the resumed run, want 10", e.Now())
+		}
+	}
+}
+
+// TestReservedMatchesEager is a differential test of reserved slots:
+// random schedules where some events are reserved first and armed
+// later — at set-up, or from an earlier event — must run in the same
+// order as eager twins that schedule every event directly, on both
+// queue backends. Times come from a small range so that many events
+// tie at the same instant.
+func TestReservedMatchesEager(t *testing.T) {
+	f := func(seed int64, n uint8) bool {
+		count := int(n%120) + 1
+		run := func(e *Engine, lazy bool) []int {
+			rng := rand.New(rand.NewSource(seed))
+			var order []int
+			rec := &recordAction{order: &order}
+			type slot struct {
+				at  Time
+				seq uint64
+				id  int64
+			}
+			var atSetup []slot
+			ok := true
+			for i := 0; i < count; i++ {
+				at := Time(rng.Intn(40))
+				switch rng.Intn(3) {
+				case 0: // scheduled directly in both twins
+					e.ScheduleAction(at, rec, int64(i), 0)
+				case 1: // reserved, armed after all set-up scheduling
+					if lazy {
+						atSetup = append(atSetup, slot{at, e.Reserve(), int64(i)})
+					} else {
+						e.ScheduleAction(at, rec, int64(i), 0)
+					}
+				case 2: // reserved, armed by an earlier event
+					armAt := Time(rng.Intn(int(at) + 1))
+					var s slot
+					if armAt == at {
+						// The arming event must order before the slot.
+						armAt = 0
+					}
+					e.Schedule(armAt, func() {
+						if lazy {
+							if e.Passed(s.at, s.seq) {
+								ok = false
+							}
+							e.ScheduleReserved(s.at, s.seq, rec, s.id, 0)
+						}
+					})
+					if lazy {
+						s = slot{at, e.Reserve(), int64(i)}
+					} else {
+						e.ScheduleAction(at, rec, int64(i), 0)
+					}
+				}
+			}
+			rng.Shuffle(len(atSetup), func(i, j int) { atSetup[i], atSetup[j] = atSetup[j], atSetup[i] })
+			for _, s := range atSetup {
+				e.ScheduleReserved(s.at, s.seq, rec, s.id, 0)
+			}
+			e.Run()
+			if !ok {
+				return nil
+			}
+			return order
+		}
+		want := run(NewEngine(), false)
+		for _, got := range [][]int{
+			run(NewCalendarEngine(), false),
+			run(NewEngine(), true),
+			run(NewCalendarEngine(), true),
+		} {
+			if len(got) != count || len(want) != count {
+				return false
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestScheduleReservedPassedPanics: arming a slot the engine has gone
+// past would run an event out of order.
+func TestScheduleReservedPassedPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		at   Time
+	}{{"earlier instant", 5}, {"same instant", 10}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewCalendarEngine()
+			seq := e.Reserve()
+			e.Schedule(10, func() {})
+			e.RunUntil(10)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("arming a passed slot did not panic")
+				}
+			}()
+			e.ScheduleReserved(tc.at, seq, &countAction{}, 0, 0)
+		})
+	}
+}
+
+// TestPassed pins the engine position Passed compares against after a
+// drained RunUntil(end) and after a Stop.
+func TestPassed(t *testing.T) {
+	t.Run("drained", func(t *testing.T) {
+		e := NewCalendarEngine()
+		early := e.Reserve()
+		e.Schedule(3, func() {})
+		e.Schedule(9, func() {})
+		last := e.Reserve()
+		e.RunUntil(7)
+		late := e.Reserve()
+		for _, c := range []struct {
+			at   Time
+			seq  uint64
+			want bool
+		}{
+			{5, early, true},  // before the clock
+			{7, early, true},  // at end, reserved before the run
+			{7, last, true},   // the last slot handed out before the run
+			{7, late, false},  // at end, reserved after: would still run
+			{8, early, false}, // after end
+		} {
+			if got := e.Passed(c.at, c.seq); got != c.want {
+				t.Errorf("Passed(%v, %d) = %v, want %v", c.at, c.seq, got, c.want)
+			}
+		}
+	})
+	t.Run("stopped", func(t *testing.T) {
+		e := NewCalendarEngine()
+		before := e.Reserve()
+		e.Schedule(1, func() { e.Stop() })
+		after := e.Reserve()
+		e.Schedule(2, func() {})
+		e.RunUntil(10)
+		for _, c := range []struct {
+			at   Time
+			seq  uint64
+			want bool
+		}{
+			{1, before, true},
+			{1, after, false}, // orders after the stopping event
+			{2, before, false},
+			{5, before, false}, // the clock did not move to end
+		} {
+			if got := e.Passed(c.at, c.seq); got != c.want {
+				t.Errorf("Passed(%v, %d) = %v, want %v", c.at, c.seq, got, c.want)
+			}
+		}
+	})
+}
